@@ -83,10 +83,9 @@ func runWorker(addr, dir, node string, nWorkers, chunk int, spool string, timeou
 		if err != nil {
 			return err
 		}
-		w.Register(cluster.TaskSketch, cluster.SketchShardRunner)
-		w.Register(cluster.TaskAssess, srv.ClusterAssessRunner())
-		w.Register(cluster.TaskSweepGroup, srv.ClusterSweepGroupRunner())
-		w.Register(cluster.TaskScore, srv.ClusterScoreRunner())
+		for kind, r := range srv.ClusterRunners() {
+			w.Register(kind, r)
+		}
 		if err := w.Start(); err != nil {
 			return err
 		}

@@ -82,6 +82,16 @@ func (b *Breaker) Failure(now time.Time) {
 	}
 }
 
+// Abstain records a call whose outcome says nothing about the
+// cluster's health: the caller gave up, or the work was never handed
+// over. Only a half-open breaker notices — it frees the probe slot, so
+// the next Allow admits a new probe instead of refusing forever.
+func (b *Breaker) Abstain() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+}
+
 // Open reports whether the breaker currently refuses calls at time now
 // (false once the cooldown has elapsed, even before a probe runs).
 func (b *Breaker) Open(now time.Time) bool {
@@ -91,7 +101,7 @@ func (b *Breaker) Open(now time.Time) bool {
 }
 
 // Trips returns how many times the breaker has tripped open — a
-// monotonic gauge for /healthz.
+// monotonic gauge for /v1/status.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

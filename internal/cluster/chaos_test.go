@@ -97,17 +97,14 @@ func TestChaosTornWriteCrashSweepRecovers(t *testing.T) {
 }
 
 // TestChaosDoneFileReadFaultsConverge: a device hiccuping EIO on done
-// file reads while the coordinator polls still converges the sharded
-// sketch to the serial golden — the retry layer absorbs the hiccups.
+// file reads while the coordinator polls still converges the plan to
+// its golden results — the retry layer absorbs the hiccups.
 func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 	inj := faultfs.NewInjector(nil,
 		faultfs.Rule{Op: faultfs.OpRead, Path: "tasks/done", Times: 3, Err: faultfs.ErrIO},
 	)
 	st := chaosStore(t, filepath.Join(t.TempDir(), "cluster"), inj)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 160, 4, 23)
-	const chunk, shards = 8, 3
-	want := serialSketchBytes(t, path, chunk)
+	tasks, want := testPlan(t, st, 3, 23)
 
 	c, err := NewCoordinator(st, CoordinatorOptions{
 		Node: "coord", Workers: 1,
@@ -117,6 +114,7 @@ func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Register(testKind, digestRunner)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +122,11 @@ func TestChaosDoneFileReadFaultsConverge(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	mo, err := c.ShardedSketch(ctx, path, chunk, shards)
+	got, err := runPlan(ctx, c, tasks)
 	if err != nil {
-		t.Fatalf("ShardedSketch under EIO schedule: %v", err)
+		t.Fatalf("runPlan under EIO schedule: %v", err)
 	}
-	if !bytes.Equal(sketchBits(t, mo), want) {
-		t.Fatal("sketch under read faults differs from the serial golden")
-	}
+	checkPlan(t, got, want)
 	if inj.Faults() < 3 {
 		t.Fatalf("schedule delivered %d faults, want 3", inj.Faults())
 	}
@@ -154,7 +150,7 @@ func TestChaosClaimErrorStormBacksOffThenProgresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(TaskSketch, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
+	w.Register(testKind, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
 		return []byte("done"), nil
 	})
 	if err := w.Start(); err != nil {
@@ -234,6 +230,38 @@ func TestBreakerTransitions(t *testing.T) {
 	b.Success()
 	if !b.Allow(t2) || b.Open(t2) {
 		t.Fatal("breaker did not close after a successful probe")
+	}
+}
+
+// TestBreakerAbstainFreesProbe: a half-open probe whose caller gives
+// up reports neither outcome. Abstain must free the probe slot — else
+// the breaker refuses forever — without closing or re-arming it.
+func TestBreakerAbstainFreesProbe(t *testing.T) {
+	b := &Breaker{Threshold: 1, Cooldown: time.Minute}
+	t0 := time.Unix(1000, 0)
+	b.Failure(t0)
+	t1 := t0.Add(time.Minute)
+	if !b.Allow(t1) {
+		t.Fatal("breaker refused the half-open probe")
+	}
+	b.Abstain()
+	if !b.Allow(t1) {
+		t.Fatal("breaker refused a new probe after the first abstained")
+	}
+	if b.Allow(t1) {
+		t.Fatal("breaker admitted a second concurrent probe")
+	}
+	if b.Trips() != 1 {
+		t.Fatalf("Trips() = %d, want 1 (abstaining is not a trip)", b.Trips())
+	}
+
+	// On a closed breaker Abstain changes nothing.
+	c := &Breaker{Threshold: 2, Cooldown: time.Minute}
+	c.Failure(t0)
+	c.Abstain()
+	c.Failure(t0)
+	if c.Allow(t0) {
+		t.Fatal("Abstain reset the failure streak of a closed breaker")
 	}
 }
 

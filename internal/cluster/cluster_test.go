@@ -5,82 +5,84 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"randpriv/internal/dataset"
-	"randpriv/internal/stream"
 )
 
-// writeTestCSV writes a deterministic rows×cols CSV of mixed-scale
-// values (plenty of bits below the decimal point, so byte-identity
-// failures cannot hide behind round numbers).
-func writeTestCSV(t testing.TB, path string, rows, cols int, seed int64) {
+// testKind is the task kind the protocol tests run: a deterministic
+// stand-in for the server's runners, so the lease, reclaim and
+// completion machinery is exercised without any assessment code.
+const testKind = "test"
+
+// testTask builds the test task over one CAS blob.
+func testTask(digest string) Task { return NewTask(testKind, nil, digest) }
+
+// digestRunner is the test kind's runner: the SHA-256 of the task's
+// blob, so duplicate executions write identical bytes. A blob starting
+// with "fail" fails the task terminally, as bad data fails a real one.
+func digestRunner(ctx context.Context, st *Store, t *Task) ([]byte, error) {
+	body, err := os.ReadFile(st.CASPath(t.Digest))
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(body, []byte("fail")) {
+		return nil, fmt.Errorf("test task %s: bad blob", t.ID)
+	}
+	sum := sha256.Sum256(body)
+	return sum[:], nil
+}
+
+// testPlan stores n distinct seeded blobs and returns their test tasks
+// plus the result each must produce — the golden every fault schedule
+// has to converge to. The same (n, seed) always yields the same task
+// ids, the way a restarted coordinator re-derives its plan.
+func testPlan(t *testing.T, st *Store, n int, seed int64) ([]Task, [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var sb strings.Builder
-	for j := 0; j < cols; j++ {
-		if j > 0 {
-			sb.WriteByte(',')
+	tasks := make([]Task, n)
+	want := make([][]byte, n)
+	for i := range tasks {
+		blob := []byte(fmt.Sprintf("blob %d/%d: %x\n", i, n, rng.Uint64()))
+		d, err := st.PutBytes(blob)
+		if err != nil {
+			t.Fatalf("put blob: %v", err)
 		}
-		fmt.Fprintf(&sb, "c%d", j)
+		tasks[i] = testTask(d)
+		sum := sha256.Sum256(blob)
+		want[i] = sum[:]
 	}
-	sb.WriteByte('\n')
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if j > 0 {
-				sb.WriteByte(',')
-			}
-			v := (rng.NormFloat64() + 2) * float64(1+rng.Intn(500))
-			sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	return tasks, want
+}
+
+// runPlan enqueues every task and awaits their results in plan order.
+func runPlan(ctx context.Context, c *Coordinator, tasks []Task) ([][]byte, error) {
+	ids := make([]string, len(tasks))
+	for i, task := range tasks {
+		if err := c.Store().Enqueue(task); err != nil {
+			return nil, err
 		}
-		sb.WriteByte('\n')
+		ids[i] = task.ID
 	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatalf("write test csv: %v", err)
-	}
+	return c.Await(ctx, ids)
 }
 
-// serialSketchBytes is the golden: the single-process serial accumulate
-// over the same chunk partition, as raw sketch bytes.
-func serialSketchBytes(t *testing.T, path string, chunk int) []byte {
+// checkPlan fails the test unless got is exactly the plan's golden.
+func checkPlan(t *testing.T, got, want [][]byte) {
 	t.Helper()
-	mo := serialSketch(t, path, chunk)
-	b, err := mo.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal serial sketch: %v", err)
+	if len(got) != len(want) {
+		t.Fatalf("plan returned %d results, want %d", len(got), len(want))
 	}
-	return b
-}
-
-func serialSketch(t *testing.T, path string, chunk int) *stream.Moments {
-	t.Helper()
-	src, err := dataset.OpenCSVChunks(path, chunk)
-	if err != nil {
-		t.Fatalf("open csv: %v", err)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("task %d result differs from its golden", i)
+		}
 	}
-	defer src.Close()
-	mo, err := stream.Accumulate(src, 1)
-	if err != nil {
-		t.Fatalf("serial sketch: %v", err)
-	}
-	return mo
-}
-
-func sketchBits(t *testing.T, mo *stream.Moments) []byte {
-	t.Helper()
-	b, err := mo.MarshalBinary()
-	if err != nil {
-		t.Fatalf("marshal sketch: %v", err)
-	}
-	return b
 }
 
 func openStore(t *testing.T) *Store {
@@ -92,12 +94,11 @@ func openStore(t *testing.T) *Store {
 	return st
 }
 
-// fakeTask builds a claimable (but never runnable) task for protocol
-// tests.
+// fakeTask builds a claimable task over a blob that was never stored,
+// for protocol tests that do not care what it computes.
 func fakeTask(i int) Task {
 	sum := sha256.Sum256([]byte(fmt.Sprintf("fake-%d", i)))
-	d := hex.EncodeToString(sum[:])
-	return NewSketchTask(d, 8, i)
+	return testTask(hex.EncodeToString(sum[:]))
 }
 
 func TestClaimExactlyOnce(t *testing.T) {
@@ -300,88 +301,14 @@ func TestCASAndResultCache(t *testing.T) {
 	}
 }
 
-func TestSplitDeclines(t *testing.T) {
-	st := openStore(t)
-	dir := t.TempDir()
-	cases := map[string]string{
-		"quoted field":   "a,b\n1,\"2\"\n3,4\n",
-		"quoted header":  "\"a\",b\n1,2\n",
-		"blank line":     "a,b\n1,2\n\n3,4\n",
-		"no data rows":   "a,b\n",
-		"cr-only trails": "a,b\n1,2\n\r",
-	}
-	for name, content := range cases {
-		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".csv")
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.SplitCSVShards(p, 2, 2); err == nil {
-			t.Errorf("%s: split succeeded, want refusal", name)
-		}
-	}
-}
-
-// TestShardedSketchByteIdentical is the tentpole's core claim at the
-// cluster level: distributing the sketch across shard tasks produces
-// bit-identical moments to the single-process serial accumulate, across
-// awkward shapes (rows not a chunk multiple, single-row chunks, more
-// shards than chunks, one shard total).
-func TestShardedSketchByteIdentical(t *testing.T) {
-	cases := []struct {
-		name                      string
-		rows, cols, chunk, shards int
-		workers                   int
-	}{
-		{"typical", 257, 5, 32, 4, 1},
-		{"single-row chunks", 41, 3, 1, 4, 1},
-		{"more shards than chunks", 5, 2, 2, 10, 1},
-		{"one shard", 64, 4, 16, 1, 1},
-		{"chunk larger than data", 7, 3, 100, 3, 1},
-		{"two embedded workers", 300, 6, 17, 6, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := openStore(t)
-			path := filepath.Join(t.TempDir(), "data.csv")
-			writeTestCSV(t, path, tc.rows, tc.cols, 42)
-			want := serialSketchBytes(t, path, tc.chunk)
-
-			c, err := NewCoordinator(st, CoordinatorOptions{
-				Node: "coord", Workers: tc.workers,
-				Poll: 2 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond,
-				LeaseTTL: 2 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			mo, err := c.ShardedSketch(ctx, path, tc.chunk, tc.shards)
-			if err != nil {
-				t.Fatalf("ShardedSketch: %v", err)
-			}
-			if !bytes.Equal(sketchBits(t, mo), want) {
-				t.Fatalf("sharded sketch differs from serial accumulate")
-			}
-		})
-	}
-}
-
-// TestShardedSketchExternalWorkers runs a pure coordinator (no embedded
+// TestExternalWorkersRunPlan runs a pure coordinator (no embedded
 // claim loops) against separate worker instances over the same state
 // dir — the same claim/heartbeat/done protocol separate OS processes
-// speak, exercised in-process so the test stays hermetic.
-func TestShardedSketchExternalWorkers(t *testing.T) {
+// speak, exercised in-process so the test stays hermetic. AliveWorkers
+// must count the external loops: the server gates delegation on it.
+func TestExternalWorkersRunPlan(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "data.csv")
-	writeTestCSV(t, path, 500, 6, 7)
-	const chunk = 16
-	want := serialSketchBytes(t, path, chunk)
+	tasks, want := testPlan(t, st, 6, 7)
 
 	for i := 0; i < 3; i++ {
 		w, err := NewWorker(st, WorkerOptions{
@@ -391,7 +318,7 @@ func TestShardedSketchExternalWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Register(TaskSketch, SketchShardRunner)
+		w.Register(testKind, digestRunner)
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -413,23 +340,21 @@ func TestShardedSketchExternalWorkers(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	mo, err := c.ShardedSketch(ctx, path, chunk, 6)
+	got, err := runPlan(ctx, c, tasks)
 	if err != nil {
-		t.Fatalf("ShardedSketch: %v", err)
+		t.Fatalf("runPlan: %v", err)
 	}
-	if !bytes.Equal(sketchBits(t, mo), want) {
-		t.Fatalf("sharded sketch differs from serial accumulate")
-	}
+	checkPlan(t, got, want)
 }
 
-// TestSketchRunnerReportsBadData pins the failure path: a shard with a
-// non-finite value fails its task terminally, and ShardedSketch
-// surfaces the error (the server's caller then falls back to the serial
-// sketch, which reproduces the serial path's exact message).
-func TestSketchRunnerReportsBadData(t *testing.T) {
+// TestAwaitSurfacesTaskFailure pins the failure path: a runner failing
+// on bad data completes its task terminally, and Await surfaces that
+// as a *TaskError — the type the server uses to tell a task's own
+// failure from a sick cluster.
+func TestAwaitSurfacesTaskFailure(t *testing.T) {
 	st := openStore(t)
-	path := filepath.Join(t.TempDir(), "bad.csv")
-	if err := os.WriteFile(path, []byte("a,b\n1,2\n3,NaN\n5,6\n7,8\n"), 0o644); err != nil {
+	bad, err := st.PutBytes([]byte("fail: not a valid blob\n"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := NewCoordinator(st, CoordinatorOptions{
@@ -439,13 +364,17 @@ func TestSketchRunnerReportsBadData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Register(testKind, digestRunner)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := c.ShardedSketch(ctx, path, 2, 2); err == nil {
-		t.Fatal("ShardedSketch succeeded over non-finite data, want error")
+	tasks, _ := testPlan(t, st, 2, 3)
+	_, err = runPlan(ctx, c, append(tasks, testTask(bad)))
+	var te *TaskError
+	if !errors.As(err, &te) || te.ID != testTask(bad).ID {
+		t.Fatalf("runPlan over a bad blob = %v, want a *TaskError for task %s", err, testTask(bad).ID)
 	}
 }

@@ -36,7 +36,7 @@ func TestWorkerStopLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(TaskSketch, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
+	w.Register(testKind, func(ctx context.Context, st *Store, tk *Task) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err := w.Start(); err != nil {

@@ -14,15 +14,12 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
 
 // Task kinds.
 const (
-	// TaskSketch builds the per-chunk moment sketches of one CSV shard.
-	TaskSketch = "sketch"
 	// TaskAssess runs one full assessment (the server registers its
 	// runner; the cluster package only routes it).
 	TaskAssess = "assess"
@@ -38,23 +35,15 @@ const (
 )
 
 // Task is one unit of claimable work. The ID is derived from the task's
-// content (kind plus its input digests), which makes Enqueue idempotent,
-// lets a restarted coordinator find its earlier results by recomputing
-// the same IDs, and dedups identical work across jobs.
+// content (kind, spec bytes and upload digest), which makes Enqueue
+// idempotent, lets a restarted coordinator find its earlier results by
+// recomputing the same IDs, and dedups identical work across jobs.
 type Task struct {
 	ID   string `json:"id"`
 	Type string `json:"type"`
 
-	// Sketch tasks: the CAS digest of the shard CSV and the chunk size
-	// to scan it with. Shard is the coordinator's merge-order index; it
-	// is carried for observability but is not part of the ID — the same
-	// shard bytes yield the same sketches wherever they sit in the file.
-	ShardDigest string `json:"shard_digest,omitempty"`
-	Chunk       int    `json:"chunk,omitempty"`
-	Shard       int    `json:"shard,omitempty"`
-
-	// Assess tasks: the job spec (server-interpreted JSON) and the CAS
-	// digest of the upload it runs against.
+	// The server-interpreted spec (JSON) and the CAS digest of the
+	// upload the task runs against.
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Digest string          `json:"digest,omitempty"`
 
@@ -68,63 +57,30 @@ func taskID(parts ...string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// NewSketchTask builds the sketch task for one shard.
-func NewSketchTask(shardDigest string, chunk, shard int) Task {
+// NewTask builds the task of one kind for one (spec, upload) pair. The
+// spec bytes are part of the identity, so they must be canonical —
+// randprivd marshals its specs with encoding/json, which is
+// deterministic for a given parameter set. A restarted coordinator
+// therefore recomputes the same IDs and finds its earlier done files,
+// and identical work across jobs dedups.
+func NewTask(kind string, spec json.RawMessage, digest string) Task {
 	return Task{
-		ID:          taskID("sketch", shardDigest, strconv.Itoa(chunk)),
-		Type:        TaskSketch,
-		ShardDigest: shardDigest,
-		Chunk:       chunk,
-		Shard:       shard,
+		ID:     taskID(kind, string(spec), digest),
+		Type:   kind,
+		Spec:   append(json.RawMessage(nil), spec...),
+		Digest: digest,
 	}
 }
 
 // NewAssessTask builds the assessment task for one (spec, upload) pair.
-// The spec bytes are part of the identity, so they must be canonical —
-// randprivd marshals its jobSpec with encoding/json, which is
-// deterministic for a given parameter set.
 func NewAssessTask(spec json.RawMessage, digest string) Task {
-	return Task{
-		ID:     taskID("assess", string(spec), digest),
-		Type:   TaskAssess,
-		Spec:   append(json.RawMessage(nil), spec...),
-		Digest: digest,
-	}
-}
-
-// NewSweepGroupTask builds the task for one perturbation group of a
-// sweep plan. Like assess tasks, the server-interpreted spec bytes are
-// part of the identity (they name the group's points canonically), so a
-// restarted coordinator recomputes the same IDs and finds its earlier
-// done files, and identical groups across sweep jobs dedup.
-func NewSweepGroupTask(spec json.RawMessage, digest string) Task {
-	return Task{
-		ID:     taskID("sweepgroup", string(spec), digest),
-		Type:   TaskSweepGroup,
-		Spec:   append(json.RawMessage(nil), spec...),
-		Digest: digest,
-	}
-}
-
-// NewScoreTask builds the task for one attack of a streamed
-// assessment's scoring pass. The spec carries the attack selection and
-// the disguised copy's digest; Digest addresses the original upload.
-func NewScoreTask(spec json.RawMessage, digest string) Task {
-	return Task{
-		ID:     taskID("score", string(spec), digest),
-		Type:   TaskScore,
-		Spec:   append(json.RawMessage(nil), spec...),
-		Digest: digest,
-	}
+	return NewTask(TaskAssess, spec, digest)
 }
 
 // validate rejects tasks whose references could escape the state dir.
 func (t *Task) validate() error {
 	if !hexDigest(t.ID) {
 		return fmt.Errorf("cluster: task id %q is not a hex digest", t.ID)
-	}
-	if t.ShardDigest != "" && !hexDigest(t.ShardDigest) {
-		return fmt.Errorf("cluster: task %s: shard digest %q is not a hex digest", t.ID, t.ShardDigest)
 	}
 	if t.Digest != "" && !hexDigest(t.Digest) {
 		return fmt.Errorf("cluster: task %s: upload digest %q is not a hex digest", t.ID, t.Digest)
@@ -302,7 +258,7 @@ func (s *Store) TaskResult(id string) (result []byte, taskErr string, ok bool, e
 // whose owner is dead (no heartbeat, a corrupt one, or one older than
 // ttl) to the pending queue. It returns how many leases were reclaimed.
 // Any node may run this — typically the coordinator, while it waits on
-// its shard tasks.
+// its tasks.
 func (s *Store) ReclaimExpired(ttl time.Duration, now time.Time) (int, error) {
 	entries, err := s.fs.ReadDir(s.claimedDir())
 	if err != nil {

@@ -17,16 +17,17 @@
 //     it, with the coordinator merging the group envelopes back in grid
 //     order. The full-grid body is byte-identical to single-process
 //     execution because both paths run the same sweep.GroupExec.
-//   - Large streamed assessments shard across the cluster twice: the
-//     disguised-copy moment sketch through ShardedSketch (pass 1), and
-//     the scoring pass through one score task per battery attack
-//     (pass 2). Both merges are bit-identical to the serial computation
-//     by construction, so these are purely accelerators.
+//   - A synchronous streamed assessment fans its scoring pass out as one
+//     score task per battery attack, when at least two claim loops are
+//     alive to run them in parallel. The merge reproduces the serial
+//     result order, so the report is bit-identical to the serial one.
 //   - GET /v1/status grows a cluster section with per-node heartbeat
 //     gauges and the task-queue depths, per task kind.
 //
-// Every cluster path falls back to the local serial computation on any
-// infrastructure error — the cluster is an accelerator, the single
+// All three delegations go through one helper, delegate, which owns the
+// policy: the alive-loop gate, the breaker, the store put, the enqueue,
+// the await and the fallback. Every failure falls back to the local
+// serial computation — the cluster is an accelerator, the single
 // process the reference. Fallback is always legal because both paths
 // produce byte-identical results.
 
@@ -46,14 +47,13 @@ import (
 	"randpriv/internal/dataset"
 	"randpriv/internal/jobs"
 	"randpriv/internal/mat"
-	"randpriv/internal/recon"
 	"randpriv/internal/stream"
 	"randpriv/internal/sweep"
 )
 
-// openCluster stands the coordinator up during New. The assess runner is
+// openCluster stands the coordinator up during New. Every runner is
 // registered on the embedded workers so a coordinator-only deployment
-// still executes delegated jobs itself.
+// still executes delegated work itself.
 func (s *Server) openCluster() error {
 	st, err := cluster.OpenStore(s.cfg.ClusterDir, cluster.StoreOptions{FS: s.cfg.FS})
 	if err != nil {
@@ -72,9 +72,9 @@ func (s *Server) openCluster() error {
 	if err != nil {
 		return err
 	}
-	c.Register(cluster.TaskAssess, s.ClusterAssessRunner())
-	c.Register(cluster.TaskSweepGroup, s.ClusterSweepGroupRunner())
-	c.Register(cluster.TaskScore, s.ClusterScoreRunner())
+	for kind, r := range s.ClusterRunners() {
+		c.Register(kind, r)
+	}
 	if err := c.Start(); err != nil {
 		return err
 	}
@@ -103,12 +103,123 @@ func defaultNodeID() string {
 	return fmt.Sprintf("%s-%d", b.String(), os.Getpid())
 }
 
+// ClusterRunners maps every task kind the server enqueues to the runner
+// that executes it. Coordinator-embedded claim loops and worker-role
+// processes both register from this one list, so they cannot drift.
+func (s *Server) ClusterRunners() map[string]cluster.TaskRunner {
+	return map[string]cluster.TaskRunner{
+		cluster.TaskAssess:     s.ClusterAssessRunner(),
+		cluster.TaskSweepGroup: s.clusterSweepGroupRunner(),
+		cluster.TaskScore:      s.clusterScoreRunner(),
+	}
+}
+
+// delegation is one batch of work a caller hands to the cluster: the
+// caller builds the task specs and merges the results, delegate does
+// everything in between.
+type delegation struct {
+	// what names the work in log lines ("job", "sweep", "score pass").
+	what string
+	// files are the local files the tasks read, put into the
+	// content-addressed store in order.
+	files []string
+	// digest, when set, is the digest files[0] must have. A job dir and
+	// a spec that disagree about the bytes are both distrusted.
+	digest string
+	// minLoops is the fewest alive claim loops worth delegating to.
+	minLoops int
+	// bounded caps the wait at ClusterDelegateTimeout. Only synchronous
+	// requests set it: a delegated job legitimately runs as long as it
+	// takes.
+	bounded bool
+	// tasks builds the batch from the store digests of files.
+	tasks func(ctx context.Context, digests []string) ([]cluster.Task, error)
+	// done, when non-nil, observes each task's completion.
+	done func(i int, body []byte)
+	// merge consumes the results, in task order.
+	merge func(bodies [][]byte) error
+}
+
+// delegate runs d through the task queue. It is the one place the
+// server consults the breaker, enqueues and awaits, so the policy is
+// written once:
+//
+//   - fewer than d.minLoops alive claim loops, or an open breaker, hands
+//     the work straight back: with no claim loop a delegated task would
+//     wait forever;
+//   - store failures (put, enqueue, reading results) and an expired
+//     delegation deadline feed the breaker; a task's own error does not,
+//     because the serial path would fail identically;
+//   - if the caller's context died, its error comes back, since
+//     recomputing locally would be wasted work.
+//
+// delegated == false with a nil error means the caller must compute
+// locally.
+func (s *Server) delegate(ctx context.Context, d delegation) (delegated bool, err error) {
+	now := time.Now().UTC()
+	if s.cluster.AliveWorkers(now) < d.minLoops || !s.breaker.Allow(now) {
+		return false, nil
+	}
+	// Past Allow every exit settles the breaker: a half-open breaker
+	// admits one probe and refuses everything until it hears back.
+	decline := func(stage string, err error, infra bool) (bool, error) {
+		if cerr := ctx.Err(); cerr != nil {
+			s.breaker.Abstain()
+			return false, cerr
+		}
+		if infra {
+			s.breaker.Failure(time.Now().UTC())
+		} else {
+			s.breaker.Abstain()
+		}
+		s.cfg.Log.Printf("randprivd: cluster %s: %s: %v (computing locally)", d.what, stage, err)
+		return false, nil
+	}
+	st := s.cluster.Store()
+	digests := make([]string, len(d.files))
+	for i, f := range d.files {
+		if digests[i], err = st.PutFile(f); err != nil {
+			return decline("store put", err, true)
+		}
+	}
+	if d.digest != "" && digests[0] != d.digest {
+		return decline("digest check", fmt.Errorf("upload digest %s, spec digest %s", digests[0], d.digest), false)
+	}
+	wait := ctx
+	if d.bounded {
+		var cancel context.CancelFunc
+		wait, cancel = context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
+		defer cancel()
+	}
+	tasks, err := d.tasks(wait, digests)
+	if err != nil {
+		return decline("build tasks", err, false)
+	}
+	ids := make([]string, len(tasks))
+	for i, t := range tasks {
+		if err := st.Enqueue(t); err != nil {
+			return decline("enqueue", err, true)
+		}
+		ids[i] = t.ID
+	}
+	bodies, err := s.cluster.AwaitFunc(wait, ids, d.done)
+	if err != nil {
+		var te *cluster.TaskError
+		return decline("await", err, !errors.As(err, &te))
+	}
+	s.breaker.Success()
+	if err := d.merge(bodies); err != nil {
+		return decline("merge", err, false)
+	}
+	return true, nil
+}
+
 // ClusterAssessRunner returns the cluster.TaskRunner that executes one
 // delegated plain assessment: open the content-addressed upload, run the
-// exact runAssessment path the synchronous endpoint uses (cluster
-// sketching disabled — a task must never enqueue sub-tasks, or a lone
+// exact runAssessment path the synchronous endpoint uses (score
+// delegation disabled — a task must never enqueue sub-tasks, or a lone
 // worker deadlocks on its own queue), and publish the report into the
-// shared result cache. cmd/randprivd registers it on worker-role nodes.
+// shared result cache.
 func (s *Server) ClusterAssessRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var sp jobSpec
@@ -142,54 +253,22 @@ func (s *Server) ClusterAssessRunner() cluster.TaskRunner {
 }
 
 // runJobViaCluster routes one plain assessment job through the task
-// queue. delegated == false means the cluster could not take the job
-// (CAS or queue trouble) and the caller must run it locally — never that
-// the assessment itself failed.
-func (s *Server) runJobViaCluster(ctx context.Context, rawSpec json.RawMessage, sp jobSpec, upload string) (body []byte, err error, delegated bool) {
-	st := s.cluster.Store()
-	key := sweep.CacheKey(sweepParams(sp.params()), sp.Digest)
-	if body, ok := st.CachedResult(key); ok {
-		return body, nil, true
+// queue, after a look in the shared result cache.
+func (s *Server) runJobViaCluster(ctx context.Context, rawSpec json.RawMessage, sp jobSpec, upload string) (body []byte, delegated bool, err error) {
+	if body, ok := s.cluster.Store().CachedResult(sweep.CacheKey(sweepParams(sp.params()), sp.Digest)); ok {
+		return body, true, nil
 	}
-	// An open breaker short-circuits delegation entirely: the serial
-	// fallback is byte-identical, so degrading costs latency, never
-	// correctness. Only infrastructure failures (the store refusing the
-	// upload or the enqueue) feed the breaker — an assessment that fails
-	// deterministically would fail identically on the serial path and
-	// says nothing about the cluster's health.
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running job locally)")
-		return nil, nil, false
-	}
-	digest, perr := st.PutFile(upload)
-	if perr != nil {
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster store put: %v (running job locally)", perr)
-		return nil, nil, false
-	}
-	if digest != sp.Digest {
-		// The job dir and the spec disagree about the bytes; trust neither
-		// and let the local path recompute the digest's report honestly.
-		s.cfg.Log.Printf("randprivd: job upload digest %s != spec digest %s (running job locally)", digest, sp.Digest)
-		return nil, nil, false
-	}
-	task := cluster.NewAssessTask(rawSpec, digest)
-	if err := st.Enqueue(task); err != nil {
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster enqueue: %v (running job locally)", err)
-		return nil, nil, false
-	}
-	s.breaker.Success()
-	bodies, aerr := s.cluster.Await(ctx, []string{task.ID})
-	if aerr != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), true // canceled job: recomputing locally would be wasted work
-		}
-		s.cfg.Log.Printf("randprivd: cluster assess task: %v (running job locally)", aerr)
-		return nil, nil, false
-	}
-	return bodies[0], nil, true
+	delegated, err = s.delegate(ctx, delegation{
+		what: "job", files: []string{upload}, digest: sp.Digest, minLoops: 1,
+		tasks: func(_ context.Context, digests []string) ([]cluster.Task, error) {
+			return []cluster.Task{cluster.NewAssessTask(rawSpec, digests[0])}, nil
+		},
+		merge: func(bodies [][]byte) error {
+			body = bodies[0]
+			return nil
+		},
+	})
+	return body, delegated, err
 }
 
 // sweepGroupSpec is the wire form of one delegated sweep-group task: the
@@ -221,7 +300,7 @@ type groupEnvelope struct {
 	Points []groupPointResult `json:"points"`
 }
 
-// ClusterSweepGroupRunner returns the cluster.TaskRunner that executes
+// clusterSweepGroupRunner returns the cluster.TaskRunner that executes
 // one perturbation group of a delegated sweep end-to-end: open the
 // content-addressed upload, perturb once, share the group's sketch and
 // baseline, and evaluate every point — through the same sweep.GroupExec
@@ -230,9 +309,8 @@ type groupEnvelope struct {
 // the shared result cache under the same key a standalone /v1/assess
 // would use, and cache-warm points are served without recompute. The
 // runner never enqueues sub-tasks (a task spawning tasks deadlocks a
-// lone worker on its own queue). cmd/randprivd registers it on
-// worker-role nodes.
-func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
+// lone worker on its own queue).
+func (s *Server) clusterSweepGroupRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var gs sweepGroupSpec
 		if err := json.Unmarshal(t.Spec, &gs); err != nil {
@@ -298,48 +376,9 @@ func (s *Server) ClusterSweepGroupRunner() cluster.TaskRunner {
 // queue, one task per perturbation group — the plan's natural unit of
 // shared work, so a delegated group still amortizes its perturbation,
 // baseline and sketch across its points exactly like the local executor.
-// The coordinator merges the group envelopes back in grid order, which
-// keeps the full-grid body byte-identical to single-process execution.
-// delegated == false means the cluster could not take the sweep (CAS or
-// queue trouble, an unreadable envelope) and the caller must run it
-// locally — never that the sweep itself failed.
-func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep.Plan, upload string, cols int, progress func(jobs.Progress)) (body []byte, err error, delegated bool) {
-	st := s.cluster.Store()
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		s.cfg.Log.Printf("randprivd: cluster delegation breaker open (running sweep locally)")
-		return nil, nil, false
-	}
-	digest, perr := st.PutFile(upload)
-	if perr != nil {
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster store put: %v (running sweep locally)", perr)
-		return nil, nil, false
-	}
-	if digest != sp.Digest {
-		s.cfg.Log.Printf("randprivd: sweep upload digest %s != spec digest %s (running sweep locally)", digest, sp.Digest)
-		return nil, nil, false
-	}
-	ids := make([]string, len(plan.Groups))
-	for i, g := range plan.Groups {
-		pts := make([]sweep.Params, len(g.Points))
-		for j, pi := range g.Points {
-			pts[j] = plan.Points[pi].Params
-		}
-		spec, merr := json.Marshal(sweepGroupSpec{Stream: plan.Stream, Points: pts})
-		if merr != nil {
-			return nil, merr, true
-		}
-		task := cluster.NewSweepGroupTask(spec, digest)
-		if err := st.Enqueue(task); err != nil {
-			s.breaker.Failure(time.Now().UTC())
-			s.cfg.Log.Printf("randprivd: cluster enqueue: %v (running sweep locally)", err)
-			return nil, nil, false
-		}
-		ids[i] = task.ID
-	}
-	s.breaker.Success()
-
+// The merge puts the group envelopes back in grid order, which keeps the
+// full-grid body byte-identical to single-process execution.
+func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep.Plan, upload string, cols int, progress func(jobs.Progress)) (body []byte, delegated bool, err error) {
 	var doneGroups, donePoints int64
 	note := func() {
 		if progress != nil {
@@ -349,23 +388,43 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 			})
 		}
 	}
-	note()
-	envs, aerr := s.cluster.AwaitFunc(ctx, ids, func(i int, _ []byte) {
-		doneGroups++
-		donePoints += int64(len(plan.Groups[i].Points))
-		note()
+	delegated, err = s.delegate(ctx, delegation{
+		what: "sweep", files: []string{upload}, digest: sp.Digest, minLoops: 1,
+		tasks: func(_ context.Context, digests []string) ([]cluster.Task, error) {
+			tasks := make([]cluster.Task, len(plan.Groups))
+			for i, g := range plan.Groups {
+				pts := make([]sweep.Params, len(g.Points))
+				for j, pi := range g.Points {
+					pts[j] = plan.Points[pi].Params
+				}
+				spec, err := json.Marshal(sweepGroupSpec{Stream: plan.Stream, Points: pts})
+				if err != nil {
+					return nil, err
+				}
+				tasks[i] = cluster.NewTask(cluster.TaskSweepGroup, spec, digests[0])
+			}
+			note()
+			return tasks, nil
+		},
+		done: func(i int, _ []byte) {
+			doneGroups++
+			donePoints += int64(len(plan.Groups[i].Points))
+			note()
+		},
+		merge: func(envs [][]byte) error {
+			body, err = s.mergeSweepGroups(sp.Digest, plan, cols, envs)
+			return err
+		},
 	})
-	if aerr != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), true // canceled job: recomputing locally would be wasted work
-		}
-		s.cfg.Log.Printf("randprivd: cluster sweep task: %v (running sweep locally)", aerr)
-		return nil, nil, false
-	}
+	return body, delegated, err
+}
 
+// mergeSweepGroups assembles the full-grid result from the group
+// envelopes, in grid order.
+func (s *Server) mergeSweepGroups(digest string, plan *sweep.Plan, cols int, envs [][]byte) ([]byte, error) {
 	res := &sweep.Result{
 		Cols:                cols,
-		DatasetSHA256:       sp.Digest,
+		DatasetSHA256:       digest,
 		GridPoints:          len(plan.Points) + plan.Collapsed,
 		CollapsedDuplicates: plan.Collapsed,
 		PlannedPasses:       plan.PlannedPasses,
@@ -378,12 +437,10 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 	for i, g := range plan.Groups {
 		var env groupEnvelope
 		if err := json.Unmarshal(envs[i], &env); err != nil {
-			s.cfg.Log.Printf("randprivd: cluster sweep envelope: %v (running sweep locally)", err)
-			return nil, nil, false
+			return nil, err
 		}
 		if len(env.Points) != len(g.Points) {
-			s.cfg.Log.Printf("randprivd: cluster sweep envelope carries %d points, want %d (running sweep locally)", len(env.Points), len(g.Points))
-			return nil, nil, false
+			return nil, fmt.Errorf("group envelope carries %d points, want %d", len(env.Points), len(g.Points))
 		}
 		if res.Rows == 0 {
 			res.Rows = env.Rows
@@ -394,63 +451,11 @@ func (s *Server) runSweepViaCluster(ctx context.Context, sp jobSpec, plan *sweep
 			// Warm the local LRU like the local executor would, so a later
 			// standalone /v1/assess for this point is a cache hit here too.
 			if s.cache != nil && len(env.Points[j].Report) > 0 {
-				s.cache.Add(sweep.CacheKey(plan.Points[pi].Params, sp.Digest), append(append([]byte(nil), env.Points[j].Report...), '\n'))
+				s.cache.Add(sweep.CacheKey(plan.Points[pi].Params, digest), append(append([]byte(nil), env.Points[j].Report...), '\n'))
 			}
 		}
 	}
-	body, merr := sweep.MarshalResult(res)
-	if merr != nil {
-		return nil, nil, false
-	}
-	return body, nil, true
-}
-
-// clusterSketch builds the core.SketchFn for a streamed assessment's
-// shared pass 1: shard the disguised spool across alive workers, fall
-// back to the serial sketch on any error. Both branches are bit-identical
-// to recon.SketchSource over the same chunk partition, so the report
-// bytes cannot depend on which one ran.
-//
-// The sharded attempt is deadline-bounded by ClusterDelegateTimeout and
-// gated by the delegation breaker: a cluster losing its workers mid-pass
-// costs one bounded wait, trips the breaker, and every following sketch
-// goes serial immediately until the cooldown expires. Every sharding
-// error feeds the breaker — unlike job delegation there is no ambiguity,
-// because the serial path computes the identical moments either way.
-func (s *Server) clusterSketch(ctx context.Context, path string, chunk int) core.SketchFn {
-	serial := func() (*stream.Moments, error) {
-		src, err := dataset.OpenCSVChunks(path, chunk)
-		if err != nil {
-			return nil, err
-		}
-		defer src.Close()
-		return recon.SketchSource(src)
-	}
-	return func() (*stream.Moments, error) {
-		now := time.Now().UTC()
-		if !s.breaker.Allow(now) {
-			return serial()
-		}
-		shards := s.cluster.AliveWorkers(now)
-		if shards < 1 {
-			shards = 1
-		}
-		sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
-		mo, err := s.cluster.ShardedSketch(sctx, path, chunk, shards)
-		cancel()
-		if err == nil {
-			s.breaker.Success()
-			return mo, nil
-		}
-		if ctx.Err() != nil {
-			// The request itself died; that is the caller's deadline, not
-			// the cluster's fault.
-			return nil, ctx.Err()
-		}
-		s.breaker.Failure(time.Now().UTC())
-		s.cfg.Log.Printf("randprivd: cluster sketch fell back to serial: %v", err)
-		return serial()
-	}
+	return sweep.MarshalResult(res)
 }
 
 // scoreSpec is the wire form of one delegated scoring work unit: one
@@ -479,15 +484,14 @@ type scoreEnvelope struct {
 	Error      string    `json:"error,omitempty"`
 }
 
-// ClusterScoreRunner returns the cluster.TaskRunner that executes one
+// clusterScoreRunner returns the cluster.TaskRunner that executes one
 // delegated scoring unit: rebuild the point's defense (the noise model
 // the attack assumes), run exactly the one named attack through the
 // same sweep-engine battery path the serial assessment uses, and return
 // its result fields. A deterministic attack failure travels in the
 // envelope — the serial path embeds it in the report rather than
 // failing the assessment, and the merged report must do the same.
-// cmd/randprivd registers it on worker-role nodes.
-func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
+func (s *Server) clusterScoreRunner() cluster.TaskRunner {
 	return func(ctx context.Context, st *cluster.Store, t *cluster.Task) ([]byte, error) {
 		var sc scoreSpec
 		if err := json.Unmarshal(t.Spec, &sc); err != nil {
@@ -553,108 +557,80 @@ func (s *Server) ClusterScoreRunner() cluster.TaskRunner {
 	}
 }
 
-// clusterScore shards the second pass of a large streamed assessment:
+// clusterScore fans the second pass of a streamed assessment out as
 // one score task per battery attack, each reconstructing against the
 // content-addressed (original, disguised) pair on whichever node claims
-// it. The merged report reproduces the serial evaluator's ordering via
+// it. It needs at least two alive claim loops: with one there is nothing
+// to run in parallel, and the serial battery is faster. The merged
+// report reproduces the serial evaluator's ordering via
 // core.SortResults — a total order over distinct attack names — so the
-// response bytes cannot depend on task completion order. ok == false
-// means the caller must score serially (single-attack battery, breaker
-// open, or any infrastructure failure); both paths are byte-identical,
-// so falling back costs latency, never correctness.
-func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams) (*core.PrivacyReport, bool) {
+// response bytes cannot depend on task completion order.
+func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams) (rep *core.PrivacyReport, delegated bool, err error) {
 	modes := sweep.AttackModes(sweepParams(p), bd.Noise)
 	if len(modes) < 2 || origPath == "" {
-		return nil, false // nothing to fan out, or a reader-backed upload the CAS cannot adopt
+		return nil, false, nil // nothing to fan out, or a reader-backed upload the CAS cannot adopt
 	}
-	now := time.Now().UTC()
-	if !s.breaker.Allow(now) {
-		return nil, false
-	}
-	sctx, cancel := context.WithTimeout(ctx, s.cfg.ClusterDelegateTimeout)
-	defer cancel()
-	rep, err := s.clusterScoreAttempt(sctx, origPath, disgPath, bd, p, modes)
-	if err == nil {
-		s.breaker.Success()
-		return rep, true
-	}
-	if ctx.Err() != nil {
-		// The request itself died; the serial path will surface that.
-		return nil, false
-	}
-	s.breaker.Failure(time.Now().UTC())
-	s.cfg.Log.Printf("randprivd: cluster score pass fell back to serial: %v", err)
-	return nil, false
+	var baseline float64
+	delegated, err = s.delegate(ctx, delegation{
+		what: "score pass", files: []string{origPath, disgPath}, minLoops: 2, bounded: true,
+		tasks: func(ctx context.Context, digests []string) ([]cluster.Task, error) {
+			// The baseline pass runs here, once — the same two streams the
+			// serial evaluator would scan, so the shipped float is the
+			// identical value.
+			orig, err := dataset.OpenCSVChunks(origPath, p.Chunk)
+			if err != nil {
+				return nil, err
+			}
+			defer orig.Close()
+			disg, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
+			if err != nil {
+				return nil, err
+			}
+			defer disg.Close()
+			baseline, err = core.StreamNDRBaseline(
+				stream.ContextSource{Ctx: ctx, Src: orig},
+				stream.ContextSource{Ctx: ctx, Src: disg})
+			if err != nil {
+				return nil, err
+			}
+			base := sweepParams(p)
+			tasks := make([]cluster.Task, len(modes))
+			for i, mode := range modes {
+				sp := base
+				sp.Attacks = []string{mode}
+				spec, err := json.Marshal(scoreSpec{Params: sp, Attack: mode, DisgDigest: digests[1], Baseline: baseline})
+				if err != nil {
+					return nil, err
+				}
+				tasks[i] = cluster.NewTask(cluster.TaskScore, spec, digests[0])
+			}
+			return tasks, nil
+		},
+		merge: func(envs [][]byte) error {
+			rep = &core.PrivacyReport{
+				Scheme:      fmt.Sprintf("%s (streaming, %d-row chunks)", bd.Scheme.Describe(), p.Chunk),
+				NDRBaseline: baseline,
+			}
+			for _, raw := range envs {
+				var e scoreEnvelope
+				if err := json.Unmarshal(raw, &e); err != nil {
+					return err
+				}
+				r := core.AttackResult{Attack: e.Attack, RMSE: e.RMSE, ColumnRMSE: e.ColumnRMSE, GainVsNDR: e.GainVsNDR}
+				if e.Error != "" {
+					r = core.AttackResult{Attack: e.Attack, Err: errors.New(e.Error)}
+				}
+				rep.Results = append(rep.Results, r)
+			}
+			core.SortResults(rep.Results)
+			return nil
+		},
+	})
+	return rep, delegated, err
 }
 
-func (s *Server) clusterScoreAttempt(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams, modes []string) (*core.PrivacyReport, error) {
-	st := s.cluster.Store()
-	origDigest, err := st.PutFile(origPath)
-	if err != nil {
-		return nil, err
-	}
-	disgDigest, err := st.PutFile(disgPath)
-	if err != nil {
-		return nil, err
-	}
-	// The baseline pass runs here, once — the same two streams the serial
-	// evaluator would scan, so the shipped float is the identical value.
-	orig, err := dataset.OpenCSVChunks(origPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer orig.Close()
-	disg, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer disg.Close()
-	baseline, err := core.StreamNDRBaseline(
-		stream.ContextSource{Ctx: ctx, Src: orig},
-		stream.ContextSource{Ctx: ctx, Src: disg})
-	if err != nil {
-		return nil, err
-	}
-	base := sweepParams(p)
-	ids := make([]string, len(modes))
-	for i, mode := range modes {
-		sp := base
-		sp.Attacks = []string{mode}
-		spec, merr := json.Marshal(scoreSpec{Params: sp, Attack: mode, DisgDigest: disgDigest, Baseline: baseline})
-		if merr != nil {
-			return nil, merr
-		}
-		task := cluster.NewScoreTask(spec, origDigest)
-		if err := st.Enqueue(task); err != nil {
-			return nil, err
-		}
-		ids[i] = task.ID
-	}
-	envs, err := s.cluster.Await(ctx, ids)
-	if err != nil {
-		return nil, err
-	}
-	rep := &core.PrivacyReport{
-		Scheme:      fmt.Sprintf("%s (streaming, %d-row chunks)", bd.Scheme.Describe(), p.Chunk),
-		NDRBaseline: baseline,
-	}
-	for _, raw := range envs {
-		var e scoreEnvelope
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, err
-		}
-		r := core.AttackResult{Attack: e.Attack, RMSE: e.RMSE, ColumnRMSE: e.ColumnRMSE, GainVsNDR: e.GainVsNDR}
-		if e.Error != "" {
-			r = core.AttackResult{Attack: e.Attack, Err: errors.New(e.Error)}
-		}
-		rep.Results = append(rep.Results, r)
-	}
-	core.SortResults(rep.Results)
-	return rep, nil
-}
-
-// clusterNodeStatus is one node's /healthz row, straight from its
-// heartbeat file.
+// clusterNodeStatus is one node's row in the /v1/status cluster
+// section, straight from its heartbeat file.
 type clusterNodeStatus struct {
 	Node         string  `json:"node"`
 	Role         string  `json:"role"`
@@ -665,7 +641,7 @@ type clusterNodeStatus struct {
 	TasksFailed  int64   `json:"tasks_failed"`
 }
 
-// clusterStatus is the /healthz cluster section.
+// clusterStatus is the /v1/status cluster section.
 type clusterStatus struct {
 	Node         string `json:"node"`
 	AliveWorkers int    `json:"alive_workers"`
@@ -679,13 +655,13 @@ type clusterStatus struct {
 	Degraded     bool  `json:"degraded"`
 	BreakerTrips int64 `json:"breaker_trips"`
 	// TasksByKind breaks the queue depths down per task kind (assess,
-	// sweepgroup, score, sketch), so an operator can see which plane is
+	// sweepgroup, score), so an operator can see which plane is
 	// backed up. Kinds with no tasks on disk are absent.
 	TasksByKind map[string]cluster.KindStats `json:"tasks_by_kind,omitempty"`
 	Nodes       []clusterNodeStatus          `json:"nodes"`
 }
 
-// clusterHealth assembles the /healthz cluster section, or nil when the
+// clusterHealth assembles the /v1/status cluster section, or nil when the
 // server runs single-process.
 func (s *Server) clusterHealth() *clusterStatus {
 	if s.cluster == nil {

@@ -60,10 +60,9 @@ func externalWorker(t *testing.T, dir, node string, hooks cluster.WorkerHooks) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Register(cluster.TaskSketch, cluster.SketchShardRunner)
-	w.Register(cluster.TaskAssess, compute.ClusterAssessRunner())
-	w.Register(cluster.TaskSweepGroup, compute.ClusterSweepGroupRunner())
-	w.Register(cluster.TaskScore, compute.ClusterScoreRunner())
+	for kind, r := range compute.ClusterRunners() {
+		w.Register(kind, r)
+	}
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}

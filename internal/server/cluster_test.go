@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // clusterConfig returns a cluster-mode server Config over a fresh state
@@ -22,10 +23,11 @@ func clusterConfig(t *testing.T, n int) Config {
 }
 
 // TestClusterAssessByteIdentity is the server-level identity contract:
-// a cluster-mode node — with 1 and with 2 claim loops, so the sharded
-// sketch path and the delegated-job path both exercise real fan-out —
-// produces byte-identical /v1/assess responses and job results to a
-// single-process server, for both memory and streamed batteries.
+// a cluster-mode node produces byte-identical /v1/assess responses and
+// job results to a single-process server, for both memory and streamed
+// batteries. With 1 claim loop jobs are delegated and the streamed
+// scoring pass runs serially; the 2-loop subtest is the one that fans
+// the scoring pass out as score tasks.
 func TestClusterAssessByteIdentity(t *testing.T) {
 	in := testCSV(t, 240, 4, 2, 9)
 	queries := []string{
@@ -85,6 +87,103 @@ func TestClusterAssessByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPureCoordinatorWithoutWorkersServesLocally: a coordinator with no
+// embedded claim loops and no worker attached has nobody to hand work
+// to. A plain job, a sweep job and a streamed sync /v1/assess must each
+// run locally at once — byte-identical to the single-process golden and
+// well inside ClusterDelegateTimeout — and nothing may be left queued.
+func TestPureCoordinatorWithoutWorkersServesLocally(t *testing.T) {
+	in := testCSV(t, 240, 4, 2, 9)
+	const assessQ = "?sigma=5&seed=3&chunk=32&stream=1"
+	const jobQ = "?sigma=7&seed=2&chunk=32&stream=1"
+	const spec = `{"defenses":[{"scheme":"additive","sigmas":[4,5]},{"scheme":"correlated","sigmas":[5]}],"seeds":[3],"chunk":32,"stream":true}`
+
+	_, plain := newTestServer(t, Config{})
+	golden := make(map[string][]byte, 2)
+	for _, q := range []string{assessQ, jobQ} {
+		status, _, body := post(t, plain, "/v1/assess"+q, in)
+		if status != http.StatusOK {
+			t.Fatalf("baseline %s: status %d, body %s", q, status, body)
+		}
+		golden[q] = body
+	}
+	goldenSweep := goldenSweepBytes(t, spec, in)
+
+	s, ts := newTestServer(t, clusterConfig(t, -1))
+	budget := s.cfg.ClusterDelegateTimeout / 3
+
+	js := submitJob(t, ts, jobQ, in)
+	if final := waitJobWithin(t, ts, js.ID, budget); final.State != "done" {
+		t.Fatalf("job = %s (error %q), want done", final.State, final.Error)
+	}
+	if rs, body := getResult(t, ts, js.ID); rs != http.StatusOK || !bytes.Equal(body, golden[jobQ]) {
+		t.Errorf("job result (status %d) differs from the single-process golden", rs)
+	}
+
+	status, _, out := postSweep(t, ts, "/v1/jobs", spec, in)
+	if status != http.StatusAccepted {
+		t.Fatalf("sweep submit = %d, body %s", status, out)
+	}
+	var sj jobStatus
+	if err := json.Unmarshal(out, &sj); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJobWithin(t, ts, sj.ID, budget); final.State != "done" {
+		t.Fatalf("sweep = %s (error %q), want done", final.State, final.Error)
+	}
+	if rs, body := getResult(t, ts, sj.ID); rs != http.StatusOK || !bytes.Equal(body, goldenSweep) {
+		t.Errorf("sweep result (status %d) differs from the single-process golden", rs)
+	}
+
+	start := time.Now()
+	status, _, got := post(t, ts, "/v1/assess"+assessQ, in)
+	if status != http.StatusOK {
+		t.Fatalf("sync assess: status %d, body %s", status, got)
+	}
+	if !bytes.Equal(got, golden[assessQ]) {
+		t.Error("sync assess differs from the single-process golden")
+	}
+	if d := time.Since(start); d > budget {
+		t.Errorf("sync assess took %v, want under %v", d, budget)
+	}
+
+	if p, c, d := s.cluster.Store().QueueStats(); p+c+d != 0 {
+		t.Errorf("queue pending=%d claimed=%d done=%d, want nothing enqueued", p, c, d)
+	}
+}
+
+// TestClusterRunnersCoverEnqueuedKinds: every task kind the server
+// enqueues has a runner in ClusterRunners, the one list coordinator
+// loops and worker processes both register from. A 2-loop node drives
+// all three delegation paths (a job, a sweep and a fanned-out scoring
+// pass); the kinds on disk must be exactly the listed ones.
+func TestClusterRunnersCoverEnqueuedKinds(t *testing.T) {
+	s, ts := newTestServer(t, clusterConfig(t, 2))
+	in := testCSV(t, 120, 4, 2, 5)
+
+	if status, _, body := post(t, ts, "/v1/assess?sigma=5&seed=3&chunk=32&stream=1", in); status != http.StatusOK {
+		t.Fatalf("sync assess: status %d, body %s", status, body)
+	}
+	js := submitJob(t, ts, "?sigma=6&seed=4&chunk=32", in)
+	if final := waitJob(t, ts, js.ID); final.State != "done" {
+		t.Fatalf("job = %s (error %q), want done", final.State, final.Error)
+	}
+	runSweep(t, ts, `{"defenses":[{"scheme":"additive","sigmas":[7,8]}],"seeds":[5],"chunk":32,"stream":true}`, in)
+
+	kinds := s.cluster.Store().QueueStatsByKind()
+	runners := s.ClusterRunners()
+	for kind := range kinds {
+		if _, ok := runners[kind]; !ok {
+			t.Errorf("server enqueued %q tasks, but ClusterRunners has no runner for them", kind)
+		}
+	}
+	for kind := range runners {
+		if kinds[kind].Done == 0 {
+			t.Errorf("no %q task completed; the test no longer drives that delegation path", kind)
+		}
 	}
 }
 

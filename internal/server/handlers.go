@@ -552,12 +552,12 @@ func passesFor(p requestParams) int64 {
 // streaming pass (the async status endpoint's chunks_done/chunks_total);
 // the total becomes known right after the validation pass.
 //
-// shardable allows a streamed assessment to delegate its sketch pass to
-// the cluster. It is only honored with nil progress (the sharded pass
-// bypasses the chunk counters, which would break the chunks_done ==
+// delegable allows a streamed assessment to delegate its scoring pass
+// to the cluster. It is only honored with nil progress (the delegated
+// pass bypasses the chunk counters, which would break the chunks_done ==
 // chunks_total invariant) and must be false inside a cluster task runner
 // (a task enqueuing sub-tasks deadlocks a lone worker on its own queue).
-func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p requestParams, digest string, ws *mat.Workspace, progress func(done, total int64), shardable bool) ([]byte, error) {
+func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p requestParams, digest string, ws *mat.Workspace, progress func(done, total int64), delegable bool) ([]byte, error) {
 	var done, total int64
 	note := func() {
 		if progress != nil {
@@ -583,7 +583,7 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 	chunk := int64(p.Chunk)
 	total = (rows + chunk - 1) / chunk * passesFor(p)
 	note()
-	rep, utilities, err := s.assess(ctx, orig, src.Path(), names, p, ws, wrap, shardable && progress == nil)
+	rep, utilities, err := s.assess(ctx, orig, src.Path(), names, p, ws, wrap, delegable && progress == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -604,9 +604,9 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 // decorates every additional source the battery opens (the disguised
 // spool) with the caller's cancellation and progress accounting.
 // origPath is the original upload's backing file ("" for reader-backed
-// sources) — the handle a shardable streamed assessment uses to put the
+// sources) — the handle a delegable streamed assessment uses to put the
 // original into the cluster's content-addressed store.
-func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string, names []string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
+func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string, names []string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, delegable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
 	bd, err := buildDefense(p, orig)
 	if err != nil {
 		return nil, nil, err
@@ -637,7 +637,7 @@ func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string
 	}
 
 	if p.Stream {
-		rep, err := s.assessStream(ctx, orig, origPath, disgPath, bd, p, ws, wrap, shardable)
+		rep, err := s.assessStream(ctx, orig, origPath, disgPath, bd, p, ws, wrap, delegable)
 		return rep, nil, err
 	}
 	return s.assessMemory(ctx, orig, disgPath, bd, p, ws, wrap)
@@ -646,31 +646,26 @@ func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string
 // assessStream runs the out-of-core battery through the sweep engine:
 // NDR baseline plus the selected streamable attacks, never materializing
 // either data set. nil baseline means this single point computes its own
-// NDR, exactly as a one-point sweep group would. The sketch is nil
-// (every attack runs its own pass 1) unless the cluster may shard it —
-// either way the attacks see bit-identical moments, so the report bytes
-// do not depend on the path taken.
+// NDR, exactly as a one-point sweep group would; nil sketch means every
+// attack runs its own pass 1.
 //
-// A shardable multi-attack battery first tries to delegate the whole
+// A delegable multi-attack battery first tries to delegate the whole
 // scoring pass: one score task per attack, merged through the canonical
-// result ordering. That too is byte-identical to the serial battery by
-// construction, and any failure falls through to the serial path (with
-// at most a sharded sketch).
-func (s *Server) assessStream(ctx context.Context, orig stream.Source, origPath, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, shardable bool) (*core.PrivacyReport, error) {
+// result ordering. That is byte-identical to the serial battery by
+// construction, and any failure falls through to the serial path.
+func (s *Server) assessStream(ctx context.Context, orig stream.Source, origPath, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, delegable bool) (*core.PrivacyReport, error) {
+	if delegable && s.cluster != nil {
+		if rep, delegated, err := s.clusterScore(ctx, origPath, disgPath, bd, p); delegated || err != nil {
+			return rep, err
+		}
+	}
 	disgSrc, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
 	if err != nil {
 		return nil, err
 	}
 	defer disgSrc.Close()
-	var sketch core.SketchFn
-	if shardable && s.cluster != nil {
-		if rep, ok := s.clusterScore(ctx, origPath, disgPath, bd, p); ok {
-			return rep, nil
-		}
-		sketch = s.clusterSketch(ctx, disgPath, p.Chunk)
-	}
 	env := sweep.Env{Reg: defaultRegistry, WS: ws}
-	return env.EvaluateStreamPoint(sweepParams(p), orig, wrap(disgSrc), bd, nil, sketch)
+	return env.EvaluateStreamPoint(sweepParams(p), orig, wrap(disgSrc), bd, nil, nil)
 }
 
 // assessMemory loads both copies, runs the selected battery (including

@@ -109,7 +109,7 @@ func (s *Server) runJob(ctx context.Context, spec json.RawMessage, upload string
 	// the results are byte-identical either way. Delegated jobs report no
 	// chunk progress; their chunks tick on whichever node runs them.
 	if s.cluster != nil {
-		if body, err, delegated := s.runJobViaCluster(ctx, spec, sp, upload); delegated {
+		if body, delegated, err := s.runJobViaCluster(ctx, spec, sp, upload); delegated || err != nil {
 			return body, err
 		}
 	}
@@ -163,7 +163,7 @@ func (s *Server) runSweepJob(ctx context.Context, sp jobSpec, upload string, ws 
 	// reasons falls back to the local executor — the merged body is
 	// byte-identical either way.
 	if s.cluster != nil {
-		if body, err, delegated := s.runSweepViaCluster(ctx, sp, plan, upload, len(src.Names()), progress); delegated {
+		if body, delegated, err := s.runSweepViaCluster(ctx, sp, plan, upload, len(src.Names()), progress); delegated || err != nil {
 			return body, err
 		}
 	}

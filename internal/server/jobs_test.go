@@ -62,7 +62,13 @@ func getJob(t testing.TB, ts *httptest.Server, id string) (int, jobStatus) {
 // waitJob polls until the job reaches a terminal state.
 func waitJob(t testing.TB, ts *httptest.Server, id string) jobStatus {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
+	return waitJobWithin(t, ts, id, 2*time.Minute)
+}
+
+// waitJobWithin is waitJob with a caller-chosen deadline.
+func waitJobWithin(t testing.TB, ts *httptest.Server, id string, d time.Duration) jobStatus {
+	t.Helper()
+	deadline := time.Now().Add(d)
 	for {
 		status, js := getJob(t, ts, id)
 		if status != http.StatusOK {

@@ -5,7 +5,7 @@
 //	POST /v1/perturb  — disguise an uploaded data set, CSV in → CSV out
 //	POST /v1/attack   — reconstruct an uploaded disguised set, CSV in → CSV out
 //	POST /v1/assess   — perturb + full attack battery, CSV in → JSON report
-//	GET  /healthz     — liveness plus pool/cache gauges
+//	GET  /healthz     — liveness (the gauges live on GET /v1/status)
 //	GET  /v1/schemes  — the schemes and attacks this build serves
 //
 // Three mechanisms make it a service rather than a CLI in a loop:
@@ -89,9 +89,10 @@ type Config struct {
 	SweepMaxPoints int
 	// ClusterDir, when set, turns the server into a cluster coordinator
 	// over this shared state directory: plain assessment jobs are
-	// delegated to the task queue, streamed assessments shard their
-	// sketch pass across alive workers, and /healthz reports per-node
-	// gauges. Empty (the default) keeps the server single-process.
+	// delegated to the task queue, sweep jobs run one task per
+	// perturbation group, a streamed assessment may fan its scoring pass
+	// out per attack, and /v1/status reports per-node gauges. Empty (the
+	// default) keeps the server single-process.
 	ClusterDir string
 	// NodeID is this process's cluster identity (filename-safe; default:
 	// hostname-pid). Only meaningful with ClusterDir.
@@ -103,9 +104,9 @@ type Config struct {
 	// ClusterLeaseTTL is how stale a node's heartbeat may grow before
 	// its task leases are reclaimed by other nodes (default: 5s).
 	ClusterLeaseTTL time.Duration
-	// ClusterDelegateTimeout bounds how long a streamed assessment's
-	// sketch pass may wait on cluster shards before falling back to the
-	// byte-identical serial pass (default: 15s). Assessment-job
+	// ClusterDelegateTimeout bounds how long a synchronous streamed
+	// assessment waits on its delegated scoring pass before falling back
+	// to the byte-identical serial pass (default: 15s). Job and sweep
 	// delegation is NOT bounded by it — a delegated job legitimately
 	// computes for as long as the job allows.
 	ClusterDelegateTimeout time.Duration
@@ -212,6 +213,7 @@ type Server struct {
 	// delegable computation takes the byte-identical serial path
 	// immediately instead of probing a sick cluster. /healthz reports
 	// the open state as degraded: true. Nil on single-process servers.
+	// Only delegate touches it, apart from the status gauges.
 	breaker *cluster.Breaker
 	mux     *http.ServeMux
 }

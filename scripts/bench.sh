@@ -27,11 +27,11 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_PR8.json}"
 BENCHTIME="${2:-100x}"
 
-PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkEigenSym$|BenchmarkEigenSymJacobi$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$|BenchmarkShardedSketch$'
+PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkEigenSym$|BenchmarkEigenSymJacobi$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$'
 
 RAW="${OUT}.txt"
 echo "running benches (pattern: ${PATTERN}, benchtime: ${BENCHTIME}) ..." >&2
-go test -run '^$' -bench "${PATTERN}" -benchmem -benchtime "${BENCHTIME}" . ./internal/server ./internal/cluster >"${RAW}"
+go test -run '^$' -bench "${PATTERN}" -benchmem -benchtime "${BENCHTIME}" . ./internal/server >"${RAW}"
 cat "${RAW}" >&2
 
 STAMP="$(date -u '+%Y-%m-%dT%H:%M:%SZ')"
