@@ -179,3 +179,39 @@ func TestChaosSpoolWriteFaultCleanError(t *testing.T) {
 		t.Fatal("the spool schedule never fired; the test exercised nothing")
 	}
 }
+
+// TestChaosDerivedSpoolWriteFault: the binary spools a request derives
+// from its upload — the validated original and the disguised copy — run
+// on the same faultfs seam as the upload spool. ENOSPC on either one,
+// after the upload itself spooled cleanly, must surface as a JSON error
+// envelope with nothing left in the spool directory.
+func TestChaosDerivedSpoolWriteFault(t *testing.T) {
+	for _, c := range []struct{ spool, path string }{
+		{"orig", "/v1/assess?stream=1&chunk=32&sigma=5&seed=1"},
+		{"disg", "/v1/assess?stream=1&chunk=32&sigma=5&seed=1"},
+		{"disg", "/v1/assess?chunk=32&sigma=5&seed=1"},
+		{"orig", "/v1/perturb?chunk=32&sigma=5&seed=1"},
+		{"orig", "/v1/attack?chunk=32&sigma=5"},
+	} {
+		inj := faultfs.NewInjector(nil,
+			faultfs.Rule{Op: faultfs.OpWrite, Path: "randprivd-" + c.spool + "-", Times: 1000, Err: faultfs.ErrNoSpace},
+		)
+		s, ts := newTestServer(t, Config{FS: inj})
+		in := testCSV(t, 60, 3, 1, 2)
+
+		status, _, out := post(t, ts, c.path, in)
+		if status == http.StatusOK {
+			t.Fatalf("%s spool, %s: 200 while the spool disk was failing (body %d bytes)", c.spool, c.path, len(out))
+		}
+		var env struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(out, &env); err != nil || env.Error == "" {
+			t.Fatalf("%s spool, %s: fault response body = %q (%v), want the JSON error envelope", c.spool, c.path, out, err)
+		}
+		if inj.Faults() < 1 {
+			t.Fatalf("%s spool, %s: the schedule never fired; the test exercised nothing", c.spool, c.path)
+		}
+		assertSpoolEmpty(t, s.cfg.SpoolDir, c.spool+" spool fault on "+c.path)
+	}
+}

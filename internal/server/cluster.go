@@ -461,7 +461,8 @@ func (s *Server) mergeSweepGroups(digest string, plan *sweep.Plan, cols int, env
 // scoreSpec is the wire form of one delegated scoring work unit: one
 // attack of a streamed assessment's second pass, against the
 // content-addressed (original, disguised) pair. The task digest is the
-// original upload's; the disguised spool travels by its own digest. The
+// original upload's (CSV); the disguised copy travels as a binary spool
+// (dataset.BinaryWriter format) under its own digest. The
 // NDR baseline is computed once on the coordinator and shipped in the
 // spec — float64 round-trips exactly through encoding/json, so the
 // worker's report fragment is bit-identical to one computed in-process.
@@ -511,7 +512,7 @@ func (s *Server) clusterScoreRunner() cluster.TaskRunner {
 			return nil, err
 		}
 		defer orig.Close()
-		disg, err := dataset.OpenCSVChunks(st.CASPath(sc.DisgDigest), sc.Params.Chunk)
+		disg, err := dataset.OpenBinaryChunks(st.CASPath(sc.DisgDigest), sc.Params.Chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -560,29 +561,27 @@ func (s *Server) clusterScoreRunner() cluster.TaskRunner {
 // clusterScore fans the second pass of a streamed assessment out as
 // one score task per battery attack, each reconstructing against the
 // content-addressed (original, disguised) pair on whichever node claims
-// it. It needs at least two alive claim loops: with one there is nothing
-// to run in parallel, and the serial battery is faster. The merged
-// report reproduces the serial evaluator's ordering via
+// it. The original travels as the uploaded CSV (csvPath) — its digest
+// is the report's dataset_sha256 — and the disguised copy as its binary
+// spool (disgPath). orig is the validated original the NDR baseline
+// pass reads. It needs at least two alive claim loops: with one there
+// is nothing to run in parallel, and the serial battery is faster. The
+// merged report reproduces the serial evaluator's ordering via
 // core.SortResults — a total order over distinct attack names — so the
 // response bytes cannot depend on task completion order.
-func (s *Server) clusterScore(ctx context.Context, origPath, disgPath string, bd core.BuiltDefense, p requestParams) (rep *core.PrivacyReport, delegated bool, err error) {
+func (s *Server) clusterScore(ctx context.Context, orig stream.Source, csvPath, disgPath string, bd core.BuiltDefense, p requestParams) (rep *core.PrivacyReport, delegated bool, err error) {
 	modes := sweep.AttackModes(sweepParams(p), bd.Noise)
-	if len(modes) < 2 || origPath == "" {
+	if len(modes) < 2 || csvPath == "" {
 		return nil, false, nil // nothing to fan out, or a reader-backed upload the CAS cannot adopt
 	}
 	var baseline float64
 	delegated, err = s.delegate(ctx, delegation{
-		what: "score pass", files: []string{origPath, disgPath}, minLoops: 2, bounded: true,
+		what: "score pass", files: []string{csvPath, disgPath}, minLoops: 2, bounded: true,
 		tasks: func(ctx context.Context, digests []string) ([]cluster.Task, error) {
 			// The baseline pass runs here, once — the same two streams the
 			// serial evaluator would scan, so the shipped float is the
 			// identical value.
-			orig, err := dataset.OpenCSVChunks(origPath, p.Chunk)
-			if err != nil {
-				return nil, err
-			}
-			defer orig.Close()
-			disg, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
+			disg, err := s.openSpool(disgPath, p.Chunk)
 			if err != nil {
 				return nil, err
 			}

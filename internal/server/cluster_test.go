@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"randpriv/internal/cluster"
 )
 
 // clusterConfig returns a cluster-mode server Config over a fresh state
@@ -184,6 +188,57 @@ func TestClusterRunnersCoverEnqueuedKinds(t *testing.T) {
 		if kinds[kind].Done == 0 {
 			t.Errorf("no %q task completed; the test no longer drives that delegation path", kind)
 		}
+	}
+}
+
+// lockedLog is a goroutine-safe log sink for asserting on server logs.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestClusterScoreDelegationMatchesGolden: with two embedded claim loops
+// a streamed assessment's scoring pass really is fanned out — one score
+// task per attack, each reading the disguised copy from the CAS as a
+// binary spool — and the merged report still matches the committed
+// single-process golden byte for byte.
+func TestClusterScoreDelegationMatchesGolden(t *testing.T) {
+	logs := &lockedLog{}
+	cfg := clusterConfig(t, 2)
+	cfg.Log = log.New(logs, "", 0)
+	s, ts := newTestServer(t, cfg)
+	in := goldenCSV(t)
+	for _, name := range []string{"assess_stream_additive", "assess_stream_correlated"} {
+		var query string
+		for _, tc := range assessGoldenCases {
+			if tc.name == name {
+				query = tc.query
+			}
+		}
+		before := s.cluster.Store().QueueStatsByKind()[cluster.TaskScore].Done
+		status, _, out := post(t, ts, "/v1/assess?"+query, in)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", name, status, out)
+		}
+		checkGolden(t, name, out)
+		if done := s.cluster.Store().QueueStatsByKind()[cluster.TaskScore].Done - before; done != 2 {
+			t.Errorf("%s: %d score tasks completed, want 2 (one per streamed attack)", name, done)
+		}
+	}
+	if strings.Contains(logs.String(), "computing locally") {
+		t.Errorf("a delegation fell back to the serial path:\n%s", logs.String())
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -277,9 +276,10 @@ func (s *Server) spoolAndOpen(r *http.Request, chunk int) (*upload, *dataset.Chu
 
 // validateUpload runs the fail-fast pass: it streams every chunk once so
 // malformed CSV surfaces as a clean 400 before any response bytes are
-// written, and returns the data set shape. Empty data sets are rejected
-// here for the same reason — every downstream consumer would.
-func validateUpload(src stream.Source, cols int) (rows int64, err error) {
+// written, hands each validated chunk to sink, and returns the data set
+// shape. Empty data sets are rejected here for the same reason — every
+// downstream consumer would.
+func validateUpload(src stream.Source, cols int, sink stream.Sink) (rows int64, err error) {
 	if err := src.Reset(); err != nil {
 		return 0, err
 	}
@@ -293,6 +293,9 @@ func validateUpload(src stream.Source, cols int) (rows int64, err error) {
 		}
 		if err := stream.ValidateChunk(chunk, rows); err != nil {
 			return 0, badRequest(err)
+		}
+		if err := sink.Append(chunk); err != nil {
+			return 0, err
 		}
 		rows += int64(chunk.Rows())
 	}
@@ -360,10 +363,12 @@ func (s *Server) handlePerturb(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(_ *mat.Workspace) error {
-		cs := stream.ContextSource{Ctx: r.Context(), Src: src}
-		if _, err := validateUpload(cs, len(src.Names())); err != nil {
+		_, orig, release, err := s.parseOnce(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		if err != nil {
 			return err
 		}
+		defer release()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: orig}
 		bd, err := buildDefense(p, cs)
 		if err != nil {
 			return err
@@ -431,10 +436,12 @@ func (s *Server) handleAttack(w http.ResponseWriter, r *http.Request) error {
 	defer up.Remove()
 	defer src.Close()
 	return s.pool.Do(r.Context(), func(ws *mat.Workspace) error {
-		cs := stream.ContextSource{Ctx: r.Context(), Src: src}
-		if _, err := validateUpload(cs, len(src.Names())); err != nil {
+		_, disg, release, err := s.parseOnce(stream.ContextSource{Ctx: r.Context(), Src: src}, len(src.Names()), p.Chunk)
+		if err != nil {
 			return err
 		}
+		defer release()
+		cs := stream.ContextSource{Ctx: r.Context(), Src: disg}
 		attack, err := buildAttack(p, cs, ws)
 		if err != nil {
 			return err
@@ -548,6 +555,11 @@ func passesFor(p requestParams) int64 {
 // the synchronous response for the same (CSV, params, seed) — including
 // after a crash and re-run.
 //
+// The validating pass is the only CSV decode: it tees the validated
+// chunks into a binary spool (parseOnce), and every later pass over the
+// original reads that spool. The values are the same float64s either
+// way, so the report bytes are too.
+//
 // progress, when non-nil, receives cumulative chunk counts across every
 // streaming pass (the async status endpoint's chunks_done/chunks_total);
 // the total becomes known right after the validation pass.
@@ -575,15 +587,15 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 		}}
 	}
 	names := src.Names()
-	orig := wrap(src)
-	rows, err := validateUpload(orig, len(names))
+	rows, spool, release, err := s.parseOnce(wrap(src), len(names), p.Chunk)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	chunk := int64(p.Chunk)
 	total = (rows + chunk - 1) / chunk * passesFor(p)
 	note()
-	rep, utilities, err := s.assess(ctx, orig, src.Path(), names, p, ws, wrap, delegable && progress == nil)
+	rep, utilities, err := s.assess(ctx, wrap(spool), src.Path(), names, p, ws, wrap, delegable && progress == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -599,79 +611,55 @@ func (s *Server) runAssessment(ctx context.Context, src *dataset.ChunkSource, p 
 	return sweep.MarshalReport(rep, utilities, sweepParams(p), rows, len(names), digest)
 }
 
-// assess perturbs the validated original stream into a spool file and
+// assess perturbs the validated original stream into a binary spool and
 // runs the attack battery against it, in the requested mode. wrap
 // decorates every additional source the battery opens (the disguised
 // spool) with the caller's cancellation and progress accounting.
-// origPath is the original upload's backing file ("" for reader-backed
+// csvPath is the original upload's backing CSV ("" for reader-backed
 // sources) — the handle a delegable streamed assessment uses to put the
 // original into the cluster's content-addressed store.
-func (s *Server) assess(ctx context.Context, orig stream.Source, origPath string, names []string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, delegable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
+func (s *Server) assess(ctx context.Context, orig stream.Source, csvPath string, names []string, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, delegable bool) (*core.PrivacyReport, []core.UtilityResult, error) {
 	bd, err := buildDefense(p, orig)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Disguise into a second spool file so the attacks can re-read it.
-	disgFile, err := os.CreateTemp(s.cfg.SpoolDir, "randprivd-disg-*.csv")
+	// Disguise into a second spool so the attacks can re-read it.
+	disgPath, err := s.writeSpool("disg", len(names), func(sink stream.Sink) error {
+		return bd.Scheme.PerturbStream(orig, sink, requestRNG(p.Seed))
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	disgPath := disgFile.Name()
-	defer os.Remove(disgPath)
-	cw, err := dataset.NewChunkWriter(disgFile, names)
+	defer s.fs.Remove(disgPath)
+	disg, err := s.openSpool(disgPath, p.Chunk)
 	if err != nil {
-		disgFile.Close()
 		return nil, nil, err
 	}
-	if err := bd.Scheme.PerturbStream(orig, cw, requestRNG(p.Seed)); err != nil {
-		disgFile.Close()
-		return nil, nil, err
-	}
-	if err := cw.Flush(); err != nil {
-		disgFile.Close()
-		return nil, nil, err
-	}
-	if err := disgFile.Close(); err != nil {
-		return nil, nil, err
-	}
+	defer disg.Close()
 
+	// A streamed battery stays out-of-core: NDR baseline plus the
+	// selected streamable attacks, never materializing either data set,
+	// with each attack running its own pass 1 (nil sketch). A delegable
+	// multi-attack battery first tries to fan its scoring pass out to
+	// the cluster (clusterScore); any failure falls through to the
+	// serial path, which is byte-identical by construction.
 	if p.Stream {
-		rep, err := s.assessStream(ctx, orig, origPath, disgPath, bd, p, ws, wrap, delegable)
+		if delegable && s.cluster != nil {
+			if rep, delegated, err := s.clusterScore(ctx, orig, csvPath, disgPath, bd, p); delegated || err != nil {
+				return rep, nil, err
+			}
+		}
+		env := sweep.Env{Reg: defaultRegistry, WS: ws}
+		rep, err := env.EvaluateStreamPoint(sweepParams(p), orig, wrap(disg), bd, nil, nil)
 		return rep, nil, err
 	}
-	return s.assessMemory(ctx, orig, disgPath, bd, p, ws, wrap)
-}
-
-// assessStream runs the out-of-core battery through the sweep engine:
-// NDR baseline plus the selected streamable attacks, never materializing
-// either data set. nil baseline means this single point computes its own
-// NDR, exactly as a one-point sweep group would; nil sketch means every
-// attack runs its own pass 1.
-//
-// A delegable multi-attack battery first tries to delegate the whole
-// scoring pass: one score task per attack, merged through the canonical
-// result ordering. That is byte-identical to the serial battery by
-// construction, and any failure falls through to the serial path.
-func (s *Server) assessStream(ctx context.Context, orig stream.Source, origPath, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source, delegable bool) (*core.PrivacyReport, error) {
-	if delegable && s.cluster != nil {
-		if rep, delegated, err := s.clusterScore(ctx, origPath, disgPath, bd, p); delegated || err != nil {
-			return rep, err
-		}
-	}
-	disgSrc, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, err
-	}
-	defer disgSrc.Close()
-	env := sweep.Env{Reg: defaultRegistry, WS: ws}
-	return env.EvaluateStreamPoint(sweepParams(p), orig, wrap(disgSrc), bd, nil, nil)
+	return s.assessMemory(ctx, orig, wrap(disg), bd, p, ws)
 }
 
 // assessMemory loads both copies, runs the selected battery (including
 // the attacks that need resident data), then prices the defense with the
 // requested utility probes on the same resident pair.
-func (s *Server) assessMemory(ctx context.Context, orig stream.Source, disgPath string, bd core.BuiltDefense, p requestParams, ws *mat.Workspace, wrap func(stream.Source) stream.Source) (*core.PrivacyReport, []core.UtilityResult, error) {
+func (s *Server) assessMemory(ctx context.Context, orig, disg stream.Source, bd core.BuiltDefense, p requestParams, ws *mat.Workspace) (*core.PrivacyReport, []core.UtilityResult, error) {
 	collect := func(src stream.Source) (*mat.Dense, error) {
 		if err := src.Reset(); err != nil {
 			return nil, err
@@ -694,12 +682,7 @@ func (s *Server) assessMemory(ctx context.Context, orig stream.Source, disgPath 
 	if err != nil {
 		return nil, nil, err
 	}
-	disgSrc, err := dataset.OpenCSVChunks(disgPath, p.Chunk)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer disgSrc.Close()
-	disgData, err := collect(wrap(disgSrc))
+	disgData, err := collect(disg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -657,11 +657,13 @@ func TestAssessStreamLargeUpload(t *testing.T) {
 
 // BenchmarkServerAssessStream tracks per-request cost at the service
 // boundary across upload sizes. Note B/op grows linearly with n — that
-// is cumulative CSV codec churn (strconv formatting/parsing allocates
-// per value), not resident memory: every row buffer in the pipeline is
-// reused, so the peak footprint stays O(chunk + m²) — the property
+// is the one CSV decode of the validating pass (strconv parsing
+// allocates per value; every later pass reads the binary spool), not
+// resident memory: every row buffer in the pipeline is reused, so the
+// peak footprint stays O(chunk + m²) — the property
 // BenchmarkStreamingAttack pins with flat B/op at the attack layer,
-// below the CSV codec. Run with -benchtime 1x in CI as a smoke test.
+// below the CSV codec. scripts/bench.sh records it in every snapshot;
+// run with -benchtime 1x in CI as a smoke test.
 func BenchmarkServerAssessStream(b *testing.B) {
 	for _, n := range []int{2048, 8192} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 
+	"randpriv/internal/dataset"
 	"randpriv/internal/faultfs"
+	"randpriv/internal/stream"
 )
 
 // upload is a request body spooled to a temporary file. Spooling is what
@@ -54,6 +56,63 @@ func (u *upload) Remove() {
 	if u != nil {
 		faultfs.Default(u.fs).Remove(u.path)
 	}
+}
+
+// writeSpool fills a fresh binary float64 spool of m columns (see
+// dataset.BinaryWriter) in the spool directory and returns its path;
+// the caller removes it with s.fs.Remove. kind names the spool in its
+// file name. A failed fill — or an injected storage fault — removes the
+// partial file before the error comes back.
+func (s *Server) writeSpool(kind string, m int, fill func(stream.Sink) error) (string, error) {
+	f, err := s.fs.CreateTemp(s.cfg.SpoolDir, "randprivd-"+kind+"-*.f64")
+	if err != nil {
+		return "", fmt.Errorf("server: create %s spool: %w", kind, err)
+	}
+	bw, err := dataset.NewBinaryWriter(f, m)
+	if err == nil {
+		err = fill(bw)
+	}
+	if err == nil {
+		err = bw.Finish()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		s.fs.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
+}
+
+// openSpool opens a chunked source over a spool writeSpool made.
+func (s *Server) openSpool(path string, chunk int) (*dataset.BinarySource, error) {
+	return dataset.ReadBinaryChunks(func() (io.ReadSeekCloser, error) { return s.fs.Open(path) }, chunk)
+}
+
+// parseOnce runs the validating pass over an uploaded CSV — the only
+// time a request decodes it — and tees every validated chunk into a
+// binary spool, which it opens for every later pass. The caller must
+// call release, which closes and removes the spool. A malformed upload
+// is a 400 (see validateUpload); a spool write failure keeps its own
+// status.
+func (s *Server) parseOnce(csv stream.Source, cols, chunk int) (rows int64, orig *dataset.BinarySource, release func(), err error) {
+	path, err := s.writeSpool("orig", cols, func(sink stream.Sink) error {
+		rows, err = validateUpload(csv, cols, sink)
+		return err
+	})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	orig, err = s.openSpool(path, chunk)
+	if err != nil {
+		s.fs.Remove(path)
+		return 0, nil, nil, err
+	}
+	return rows, orig, func() {
+		orig.Close()
+		s.fs.Remove(path)
+	}, nil
 }
 
 // ctxReader bounds a body read by the request deadline: each Read

@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_PR8.json}"
 BENCHTIME="${2:-100x}"
 
-PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkEigenSym$|BenchmarkEigenSymJacobi$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$'
+PATTERN='BenchmarkAttackPCADR$|BenchmarkAttackBEDR$|BenchmarkAttackSF$|BenchmarkEigenSym$|BenchmarkEigenSymJacobi$|BenchmarkMatMul$|BenchmarkCovarianceMatrix$|BenchmarkMulABT$|BenchmarkSymRankK$|BenchmarkStreamingAttack$|BenchmarkSweepVsSequential$|BenchmarkServerAssessStream$'
 
 RAW="${OUT}.txt"
 echo "running benches (pattern: ${PATTERN}, benchtime: ${BENCHTIME}) ..." >&2
